@@ -100,10 +100,11 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--shoppers", type=int, default=6)
     demo.add_argument("--shoplifters", type=int, default=2)
     demo.add_argument("--misplacements", type=int, default=2)
-    demo.add_argument("--batch", type=int, default=1, metavar="N",
-                      help="feed cleaned events to the processor in "
-                           "batches of N (1 = per-event path; results "
-                           "are identical either way)")
+    demo.add_argument("--batch", type=int, default=None, metavar="N",
+                      help="feed cleaned events to the processor at "
+                           "most N at a time (default: each scan "
+                           "tick's events as one chunk; results are "
+                           "identical either way)")
     demo.add_argument("--shards", type=int, default=1,
                       help="worker shards for the parallel runtime "
                            "(default: 1, classic single-process)")
@@ -414,7 +415,7 @@ def _validate_shard_params(params: dict[str, Any],
 def _build_demo_system(params: dict[str, Any],
                        persistence: PersistenceConfig | None = None,
                        dead_letter_path: str | None = None,
-                       ingest_batch: int = 1,
+                       ingest_batch: int | None = None,
                        shard_secret: str | None = None) \
         -> tuple[RetailScenario, SaseSystem]:
     """The retail demo stack, reconstructible from a manifest: scenario,
@@ -545,11 +546,11 @@ def _cmd_demo(args: argparse.Namespace, out: TextIO) -> None:
             crash_after=args.crash_after)
     elif args.crash_after is not None:
         raise SaseError("--crash-after requires --data-dir")
-    if args.batch < 1:
+    if args.batch is not None and args.batch < 1:
         raise SaseError("--batch must be >= 1")
     # --batch is deliberately not pinned in the data-dir manifest:
-    # batching is result-identical, so recovery may replay with a
-    # different batch size.
+    # chunking is result-identical, so recovery may replay with a
+    # different chunk length.
     scenario, system = _build_demo_system(
         params, persistence, dead_letter_path=args.dead_letter,
         ingest_batch=args.batch, shard_secret=args.shard_secret)

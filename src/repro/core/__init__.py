@@ -22,22 +22,22 @@ from repro.core.engine import CompiledQuery, Engine, run_query
 from repro.core.match import Match
 from repro.core.plan import KleeneMode, PlanConfig, QueryPlan, build_plan
 from repro.core.runtime import QueryRuntime
-from repro.core.shared import SharedGroup, SharedMemberRuntime, \
-    SharedPlanConfig, plan_signature
+from repro.core.shared import GroupMember, PlanGroup, SharedPlanConfig, \
+    plan_signature
 from repro.core.stats import OperatorStats, PlanStats
 
 __all__ = [
     "CompiledQuery",
     "Engine",
+    "GroupMember",
     "KleeneMode",
     "Match",
     "OperatorStats",
     "PlanConfig",
+    "PlanGroup",
     "PlanStats",
     "QueryPlan",
     "QueryRuntime",
-    "SharedGroup",
-    "SharedMemberRuntime",
     "SharedPlanConfig",
     "build_plan",
     "plan_signature",

@@ -25,15 +25,6 @@ from repro.events.event import CompositeEvent, Event
 from repro.core.match import Match
 
 
-class _RawMatches:
-    """Identity stand-in for the Transformation operator: pass raw
-    :class:`Match` objects through instead of evaluating RETURN."""
-
-    @staticmethod
-    def process(match: Match) -> Match:
-        return match
-
-
 class QueryRuntime:
     """Executable dataflow for one query plan."""
 
@@ -80,93 +71,76 @@ class QueryRuntime:
             stats=self.stats, functions=functions, system=system) \
             if plan.needs_negation else None
         # raw_matches: skip the RETURN clause and emit Match objects.
-        # The shared-plan runtime (repro.core.shared) uses this to run one
-        # match pipeline for a whole group of queries, applying each
-        # member's own Transformation as its continuation.
-        self._transformation = _RawMatches() if raw_matches else \
-            Transformation(analyzed, stats=self.stats,
-                           functions=functions, system=system)
+        # A plan group (repro.core.shared) runs one such match pipeline
+        # for all its member queries and applies each member's own
+        # Transformation as its continuation.
+        self._transform = None if raw_matches else Transformation(
+            analyzed, stats=self.stats, functions=functions,
+            system=system).process
+        self._filtered = not (self._selection is None
+                              and self._window is None
+                              and self._kleene is None)
         self._flushed = False
 
     # -- streaming interface -------------------------------------------------
 
-    def feed(self, event: Event) -> list[CompositeEvent]:
-        """Push one event through the plan."""
-        if self._flushed:
-            raise RuntimeError("runtime already flushed; create a new one")
-        self.stats.events_consumed += 1
-        outputs: list[CompositeEvent] = []
+    def feed_batch_grouped(self, events: list[Event]) -> list[list]:
+        """Push a chunk of events through the plan; one output list per
+        input event, exactly what feeding them one by one produces.
 
-        if self._negation is not None:
-            self._negation.observe(event)
-            for match in self._negation.advance(event.timestamp):
-                outputs.append(self._transformation.process(match))
-
-        for match in self._scan.feed(event):
-            survivor = self._apply_filters(match)
-            if survivor is None:
-                continue
-            if self._negation is not None:
-                survivor = self._negation.process(survivor)
-                if survivor is None:
-                    continue  # rejected or buffered for trailing negation
-            outputs.append(self._transformation.process(survivor))
-
-        self.stats.results_emitted += len(outputs)
-        return outputs
-
-    def feed_batch(self, events: list[Event]) -> list[CompositeEvent]:
-        """Push a batch of events through the plan in one call.
-
-        Result-identical to feeding the events one by one (the scan's
-        batch loop preserves per-event effects exactly); plans with a
-        negation operator interleave observe/advance per event and so
-        fall back to the per-event path internally.
+        The scan runs over the whole chunk first — it touches only its
+        own stacks — and the operators above it (selection, window,
+        Kleene, negation, RETURN) then walk the chunk event by event, so
+        a negation operator still observes events and advances its
+        watermark in stream order.
         """
         if self._flushed:
             raise RuntimeError("runtime already flushed; create a new one")
-        if self._negation is not None:
-            outputs: list[CompositeEvent] = []
-            for event in events:
-                outputs.extend(self.feed(event))
-            return outputs
         self.stats.events_consumed += len(events)
-        outputs = []
-        for match in self._scan.feed_batch(events):
-            survivor = self._apply_filters(match)
-            if survivor is None:
-                continue
-            outputs.append(self._transformation.process(survivor))
-        self.stats.results_emitted += len(outputs)
-        return outputs
-
-    def feed_batch_grouped(
-            self, events: list[Event]) -> list[list[CompositeEvent]]:
-        """Like :meth:`feed_batch` but returns one result list per input
-        event, for callers that must re-associate outputs with their
-        originating event (sharding workers, cascade delivery)."""
-        if self._flushed:
-            raise RuntimeError("runtime already flushed; create a new one")
-        if self._negation is not None:
-            return [self.feed(event) for event in events]
-        self.stats.events_consumed += len(events)
-        bounds: list[int] = []
-        matches = self._scan.feed_batch(events, bounds)
-        grouped: list[list[CompositeEvent]] = []
-        start = 0
+        if len(events) == 1:
+            matches = self._scan.feed(events[0])
+            bounds = (len(matches),)
+        else:
+            bounds = []
+            matches = self._scan.feed_batch(events, bounds)
+        negation = self._negation
+        if negation is None and not matches:
+            return [[] for _ in events]   # nothing completed in this chunk
+        transform = self._transform
+        filtered = self._filtered
+        grouped: list[list] = []
         emitted = 0
-        for stop in bounds:
-            outputs: list[CompositeEvent] = []
+        start = 0
+        for event, stop in zip(events, bounds):
+            outputs: list = []
+            if negation is not None:
+                negation.observe(event)
+                for match in negation.advance(event.timestamp):
+                    outputs.append(transform(match) if transform else match)
             for match in matches[start:stop]:
-                survivor = self._apply_filters(match)
-                if survivor is None:
-                    continue
-                outputs.append(self._transformation.process(survivor))
+                if filtered:
+                    match = self._apply_filters(match)
+                    if match is None:
+                        continue
+                if negation is not None:
+                    match = negation.process(match)
+                    if match is None:
+                        continue  # rejected, or buffered until it times out
+                outputs.append(transform(match) if transform else match)
             emitted += len(outputs)
             grouped.append(outputs)
             start = stop
         self.stats.results_emitted += emitted
         return grouped
+
+    def feed(self, event: Event) -> list:
+        """Push one event through the plan: a chunk of one."""
+        return self.feed_batch_grouped([event])[0]
+
+    def feed_batch(self, events: list[Event]) -> list:
+        """Push a chunk of events through the plan; outputs flattened."""
+        return [output for outputs in self.feed_batch_grouped(events)
+                for output in outputs]
 
     def advance(self, watermark: float) -> list[CompositeEvent]:
         """Advance stream time without consuming an event.
@@ -179,18 +153,20 @@ class QueryRuntime:
             raise RuntimeError("runtime already flushed; create a new one")
         if self._negation is None:
             return []
-        outputs = [self._transformation.process(match)
-                   for match in self._negation.advance(watermark)]
+        outputs = self._negation.advance(watermark)
+        if self._transform is not None:
+            outputs = [self._transform(match) for match in outputs]
         self.stats.results_emitted += len(outputs)
         return outputs
 
     def flush(self) -> list[CompositeEvent]:
         """End the stream: decide every pending trailing negation."""
         self._flushed = True
-        outputs: list[CompositeEvent] = []
+        outputs: list = []
         if self._negation is not None:
-            for match in self._negation.flush():
-                outputs.append(self._transformation.process(match))
+            outputs = self._negation.flush()
+            if self._transform is not None:
+                outputs = [self._transform(match) for match in outputs]
         self.stats.results_emitted += len(outputs)
         return outputs
 

@@ -1,4 +1,4 @@
-"""Shared-plan optimization: evaluate one match pipeline for many queries.
+"""Plan groups: one match pipeline, many RETURN clauses.
 
 In a multi-tenant deployment most registered queries are instances of a
 few templates — the same EVENT/WHERE/WITHIN pattern, differing (at most)
@@ -9,20 +9,25 @@ negation bookkeeping) is identical across such instances, so evaluating
 it once and fanning the matches out to per-query continuations turns an
 O(tenants) per-event cost into O(templates).
 
-This module implements that sharing behind :class:`SharedPlanConfig`:
+Every query the processor registers is a member of a :class:`PlanGroup`:
 
-* :func:`plan_signature` canonicalizes a compiled query's *match plan* —
-  every component, pushed predicate, selection/negation/Kleene predicate,
-  the window, the partition scheme, and the plan switches — with pattern
-  variables renamed positionally so ``SEQ(A x, B y)`` and ``SEQ(A p, B q)``
-  share.  The RETURN clause is deliberately excluded: it is the per-query
-  continuation.
-* :class:`SharedGroup` owns one raw-match :class:`~repro.core.runtime
-  .QueryRuntime` (the Transformation operator replaced by a pass-through)
-  and memoizes its output per feed/advance/flush round.
-* :class:`SharedMemberRuntime` is the per-query view the processor holds:
-  it quacks like a ``QueryRuntime`` but delegates match production to the
-  group and applies only its own RETURN clause.
+* the group owns one raw-match :class:`~repro.core.runtime.QueryRuntime`
+  (the Transformation operator replaced by a pass-through) — the *match
+  phase* of the processor's dataflow, free of side effects outside the
+  pipeline itself;
+* each :class:`GroupMember` holds one query's RETURN clause — the
+  *RETURN phase*, applied per event in registration order, the only
+  place the database is written.  (A WHERE clause that calls a function
+  may read it: :func:`calls_functions` tells the processor to match
+  such a group inside the RETURN phase instead of ahead of it.)
+
+A group of one is the ordinary case.  With :class:`SharedPlanConfig` on,
+:func:`plan_signature` canonicalizes a compiled query's *match plan* —
+every component, pushed predicate, selection/negation/Kleene predicate,
+the window, the partition scheme, and the plan switches — with pattern
+variables renamed positionally so ``SEQ(A x, B y)`` and ``SEQ(A p, B q)``
+share, and queries with equal signatures join one group.  The RETURN
+clause is deliberately excluded: it is the per-query continuation.
 
 Sharing is safe exactly because the continuation is applied per member in
 the member's registration order — the delivered result stream is
@@ -41,7 +46,7 @@ from typing import Any
 from repro.core.match import Match
 from repro.core.operators import Transformation
 from repro.core.runtime import QueryRuntime
-from repro.events.event import CompositeEvent, Event
+from repro.events.event import CompositeEvent
 from repro.lang.ast import (
     AggregateCall,
     AttributeRef,
@@ -105,6 +110,17 @@ def _calls_functions(expr: Expr) -> bool:
     return False
 
 
+def calls_functions(analyzed: AnalyzedQuery) -> bool:
+    """True when any WHERE predicate of *analyzed* calls an external
+    function — its match phase may then read mutable system state."""
+    blocks = [analyzed.selection_predicates,
+              *analyzed.component_filters.values(),
+              *analyzed.negation_predicates.values(),
+              *analyzed.kleene_predicates.values()]
+    return any(_calls_functions(info.expr)
+               for infos in blocks for info in infos)
+
+
 def _predicate_block(infos: list[PredicateInfo],
                      rename: dict[str, str]) -> tuple[str, ...]:
     return tuple(_render(info.expr, rename) for info in infos)
@@ -115,16 +131,7 @@ def plan_signature(analyzed: AnalyzedQuery, config: Any,
     """The canonical match-plan identity of a query, or None when the
     query must not be shared.  Two queries with equal signatures produce
     identical pre-RETURN match streams over any input."""
-    all_predicates: list[PredicateInfo] = \
-        list(analyzed.selection_predicates)
-    for infos in analyzed.component_filters.values():
-        all_predicates.extend(infos)
-    for infos in analyzed.negation_predicates.values():
-        all_predicates.extend(infos)
-    for infos in analyzed.kleene_predicates.values():
-        all_predicates.extend(infos)
-    if not shared.share_function_queries and \
-            any(_calls_functions(info.expr) for info in all_predicates):
+    if not shared.share_function_queries and calls_functions(analyzed):
         return None
 
     rename = {component.variable: f"v{index}"
@@ -163,81 +170,45 @@ def plan_signature(analyzed: AnalyzedQuery, config: Any,
             negations, kleenes, partition, plan_knobs)
 
 
-# -- the shared runtime ------------------------------------------------------
+# -- groups and members -------------------------------------------------------
 
-class SharedGroup:
-    """One raw-match pipeline serving every member of a signature group.
+class PlanGroup:
+    """One raw-match pipeline and the queries whose RETURN clauses
+    consume its matches.  *signature* is the canonical plan identity
+    other queries may join under, or None for a private group."""
 
-    The group memoizes the pipeline's output per *round*: the first
-    member the processor feeds in a dispatch round runs the pipeline,
-    every other member reuses the cached matches and pays only its own
-    RETURN clause.  Rounds are keyed by event identity for ``feed`` and
-    by watermark value for ``advance``; a member that re-appears under an
-    unchanged key starts a new round (the pipeline is monotone, so a
-    repeated ``advance`` at the same watermark yields the empty list both
-    shared and independent).
-    """
-
-    def __init__(self, signature: tuple, pipeline: QueryRuntime):
-        self.signature = signature
+    def __init__(self, pipeline: QueryRuntime,
+                 signature: tuple | None = None):
         self.pipeline = pipeline
-        self.members: dict[str, SharedMemberRuntime] = {}
-        self._kind: str | None = None
-        self._key: Any = None
-        self._cached: list = []
-        self._consumed: set[str] = set()
-
-    @property
-    def events_consumed(self) -> int:
-        return self.pipeline.stats.events_consumed
+        self.signature = signature
+        self.members: dict[str, GroupMember] = {}
 
     @property
     def joinable(self) -> bool:
         """A query may only join before the pipeline has state: a member
         added later would see matches rooted in events that predate its
         own registration, which independent evaluation never produces."""
-        return self.events_consumed == 0 and not self.pipeline.flushed
+        return self.signature is not None \
+            and self.pipeline.stats.events_consumed == 0 \
+            and not self.pipeline.flushed
 
     def add_member(self, name: str, analyzed: AnalyzedQuery,
                    functions: Any = None,
-                   system: Any = None) -> "SharedMemberRuntime":
-        member = SharedMemberRuntime(self, name, analyzed,
-                                     functions=functions, system=system)
+                   system: Any = None) -> "GroupMember":
+        member = GroupMember(self, analyzed, functions=functions,
+                             system=system)
         self.members[name] = member
         return member
 
     def remove_member(self, name: str) -> None:
         self.members.pop(name, None)
-        self._consumed.discard(name)
-
-    def _matches(self, member: str, kind: str, key: Any) -> list:
-        stale = (self._kind != kind
-                 or member in self._consumed
-                 or (self._key is not key if kind == "feed"
-                     else self._key != key))
-        if stale:
-            if kind == "feed":
-                self._cached = self.pipeline.feed(key)
-            elif kind == "advance":
-                self._cached = self.pipeline.advance(key)
-            else:
-                self._cached = self.pipeline.flush()
-            self._kind, self._key = kind, key
-            self._consumed = set()
-        self._consumed.add(member)
-        return self._cached
 
 
-class SharedMemberRuntime:
-    """Per-query view over a :class:`SharedGroup`: group matches plus
-    this query's own RETURN continuation.  Implements the parts of the
-    ``QueryRuntime`` surface the processor and the exporters touch."""
+class GroupMember:
+    """One query's RETURN continuation over its group's raw matches."""
 
-    def __init__(self, group: SharedGroup, name: str,
-                 analyzed: AnalyzedQuery, functions: Any = None,
-                 system: Any = None):
-        self.group = group
-        self.name = name
+    def __init__(self, group: PlanGroup, analyzed: AnalyzedQuery,
+                 functions: Any = None, system: Any = None):
         self._transformation = Transformation(
             analyzed, stats=group.pipeline.stats, functions=functions,
             system=system)
@@ -252,75 +223,11 @@ class SharedMemberRuntime:
         self._rename = None if all(key == value for key, value
                                    in rename.items()) else rename
 
-    def _localize(self, match: Match) -> Match:
+    def returns(self, match: Match) -> CompositeEvent:
+        """Evaluate this query's RETURN clause over one group match."""
         rename = self._rename
-        if rename is None:
-            return match
-        return Match({rename[variable]: binding
-                      for variable, binding in match.bindings.items()},
-                     match.start, match.end)
-
-    def feed(self, event: Event) -> list[CompositeEvent]:
-        process = self._transformation.process
-        return [process(self._localize(match))
-                for match in self.group._matches(self.name, "feed", event)]
-
-    def feed_batch(self, events: list[Event]) -> list[CompositeEvent]:
-        """Per-event loop: the shared pipeline memoizes group matches by
-        event identity, so members must observe events one at a time to
-        keep the single-scan-per-event guarantee."""
-        outputs: list[CompositeEvent] = []
-        for event in events:
-            outputs.extend(self.feed(event))
-        return outputs
-
-    def feed_batch_grouped(
-            self, events: list[Event]) -> list[list[CompositeEvent]]:
-        return [self.feed(event) for event in events]
-
-    def advance(self, watermark: float) -> list[CompositeEvent]:
-        process = self._transformation.process
-        return [process(self._localize(match)) for match in
-                self.group._matches(self.name, "advance", watermark)]
-
-    def flush(self) -> list[CompositeEvent]:
-        process = self._transformation.process
-        return [process(self._localize(match))
-                for match in self.group._matches(self.name, "flush", None)]
-
-    # -- QueryRuntime surface (delegated to the shared pipeline) -------------
-
-    @property
-    def plan(self):
-        return self.group.pipeline.plan
-
-    @property
-    def stats(self):
-        return self.group.pipeline.stats
-
-    @property
-    def scan_compiled(self) -> bool:
-        return self.group.pipeline.scan_compiled
-
-    @property
-    def scan_coverage(self) -> dict[str, bool]:
-        return self.group.pipeline.scan_coverage
-
-    @property
-    def stack_instances(self) -> int:
-        return self.group.pipeline.stack_instances
-
-    @property
-    def partitions(self) -> int:
-        return self.group.pipeline.partitions
-
-    @property
-    def pending_negations(self) -> int:
-        return self.group.pipeline.pending_negations
-
-    @property
-    def scan_profile(self):
-        return self.group.pipeline.scan_profile
-
-    def enable_profiling(self):
-        return self.group.pipeline.enable_profiling()
+        if rename is not None:
+            match = Match({rename[variable]: binding
+                           for variable, binding in match.bindings.items()},
+                          match.start, match.end)
+        return self._transformation.process(match)

@@ -179,12 +179,7 @@ class PersistenceManager:
             stream_time = checkpoint.get("stream_time")
             if stream_time is not None:
                 self._max_ts = stream_time
-        for lsn, item in self._wal.replay(tail_start):
-            event = event_from_item(item)
-            if not lsn & 7:
-                self._track(lsn, event.timestamp)
-            self._feed_replayed(event)
-            report.replayed_events += 1
+        report.replayed_events = self._replay(tail_start)
         if self._max_window is not None and not self._frontier:
             # No sampled LSN yet (fresh directory or short tail): pin
             # the horizon at the WAL end, which is exact right now and
@@ -218,25 +213,29 @@ class PersistenceManager:
             return 0
         self._host.adopt_event_db(self._host.scratch_event_db())
         self._suppress_all = True
-        count = 0
         try:
-            for lsn, item in self._wal.replay(replay_from):
-                if lsn >= boundary:
-                    break
-                event = event_from_item(item)
-                if not lsn & 7:
-                    self._track(lsn, event.timestamp)
-                self._feed_replayed(event)
-                count += 1
+            return self._replay(replay_from, boundary)
         finally:
             self._suppress_all = False
-        return count
 
-    def _feed_replayed(self, event: Event) -> None:
+    def _replay(self, start: int, stop: int | None = None) -> int:
+        """Feed the WAL records ``[start, stop)`` (to the end of the log
+        when *stop* is None) back through the processor, one event at a
+        time; returns how many there were."""
         observe = getattr(self._host, "on_replayed_event", None)
-        if observe is not None:
-            observe(event)
-        self._processor.feed(event)
+        feed = self._processor.feed
+        count = 0
+        for lsn, item in self._wal.replay(start):
+            if stop is not None and lsn >= stop:
+                break
+            event = event_from_item(item)
+            if not lsn & 7:
+                self._track(lsn, event.timestamp)
+            if observe is not None:
+                observe(event)
+            feed(event)
+            count += 1
+        return count
 
     def _analyze_queries(self) -> None:
         """Derive the replay horizon window from the registered queries:
@@ -296,17 +295,18 @@ class PersistenceManager:
         return False
 
     def _install_hot_path(self) -> None:
-        """Fuse the WAL append into ``processor.feed`` (see
+        """Fuse the WAL append into the processor's feed loop (see
         ``set_persistence_hooks``).  Installed only once recovery has
         finished, so replayed events are never re-logged; removed on
         close so nothing appends to a closed log.
 
         The normal hook is the WAL's event-mode append — for
-        ``every_n`` literally ``deque.append``, with encoding, the
-        write, the fsync, and horizon tracking all on the group-commit
-        thread.  Fault injection (``crash_after``) needs the disk state
-        at the crash point to be exactly reproducible, so it takes the
-        synchronous generic path instead and checks the LSN per event.
+        ``every_n`` literally ``deque.extend`` on the fed chunk, with
+        encoding, the write, the fsync, and horizon tracking all on the
+        group-commit thread.  Fault injection (``crash_after``) needs
+        the disk state at the crash point to be exactly reproducible, so
+        it takes the synchronous generic path instead and checks the LSN
+        per event.
         """
         track = self._track
         crash_at = self._crash_at
@@ -328,16 +328,17 @@ class PersistenceManager:
         else:
             append = self._wal.append
 
-            def hook(event: Event) -> None:
-                lsn = append((event.type, event.timestamp,
-                              event.attributes, event.seq))
-                if not lsn & 7:   # horizon tracking is sampled
-                    track(lsn, event.timestamp)
-                if lsn + 1 >= crash_at:
-                    self._hard_crash()
+            def hook(events: list[Event]) -> None:
+                for event in events:
+                    lsn = append((event.type, event.timestamp,
+                                  event.attributes, event.seq))
+                    if not lsn & 7:   # horizon tracking is sampled
+                        track(lsn, event.timestamp)
+                    if lsn + 1 >= crash_at:
+                        self._hard_crash()
 
         # With checkpoints disabled the cadence never fires; skip the
-        # per-event callback entirely rather than count toward nothing.
+        # per-chunk callback entirely rather than count toward nothing.
         post = self.after_feed if self._cadence != float("inf") else None
         self._processor.set_persistence_hooks(hook, post)
 
@@ -354,11 +355,14 @@ class PersistenceManager:
             "call recover() after registering queries and before "
             "the first event")
 
-    def after_feed(self) -> tuple | list[tuple[str, CompositeEvent]]:
-        """Bookkeeping after one live event: trigger a periodic
-        checkpoint when due; returns any matches its drain barrier
-        forced out (they are part of the stream's results)."""
-        count = self._events_since_ckpt + 1
+    def after_feed(self, events: int) \
+            -> tuple | list[tuple[str, CompositeEvent]]:
+        """Bookkeeping after one live chunk of *events* events has been
+        fed and delivered: trigger a periodic checkpoint when due (so
+        checkpoints land on chunk boundaries); returns any matches its
+        drain barrier forced out (they are part of the stream's
+        results)."""
+        count = self._events_since_ckpt + events
         self._events_since_ckpt = count
         if count < self._cadence:
             return ()

@@ -378,8 +378,8 @@ class QueryService:
     # -- convenience ----------------------------------------------------------
 
     def feed_many(self, events: Iterable[Event]) -> int:
-        """Feed a batch of house-stream events through the processor's
-        batched path (result-identical to feeding one at a time)."""
+        """Feed house-stream events to the processor as one chunk (each
+        tenant receives exactly what one :meth:`feed` per event gives)."""
         events = list(events)
         self.events_fed += len(events)
         return len(self.processor.feed_batch(events))

@@ -97,8 +97,6 @@ class ShardRouter:
             spec = WorkerSpec(registry=processor.registry,
                               engine_config=processor.engine_config,
                               groups=tuple(self.plan.groups),
-                              use_dispatch_index=
-                              processor.use_dispatch_index,
                               trace=processor.tracer is not None,
                               chaos=chaos_spec, chaos_seed=chaos_seed)
             if (resilience is not None and resilience.supervise
@@ -137,48 +135,31 @@ class ShardRouter:
 
     # -- feeding --------------------------------------------------------------
 
-    def feed(self, event: Event, stream: str) \
+    def feed(self, events: list[Event], stream: str) \
             -> list[tuple[str, CompositeEvent]]:
-        if self._flushed:
-            raise SaseError("sharded stream already flushed")
-        seq = self._next_seq
-        self._next_seq += 1
-        state = _SeqState(stream)
-        self._seq_states[seq] = state
-        if self._backend is not None and stream == self._default_stream:
-            self._route(seq, event)
-        if self._local_names:
-            state.local = self._processor._run_queries(
-                event, stream, only=self._local_names)
-        if self._backend is not None:
-            self._handle(self._backend.poll())
-        return self._emit_ready()
+        """Route a chunk of events, then poll and emit once.
 
-    def feed_batch(self, events: list[Event], stream: str) \
-            -> list[tuple[str, CompositeEvent]]:
-        """Route a batch of events, then poll and emit once.
-
-        Per-event routing (seq assignment, partition hashing, batch
-        sealing, local queries) is identical to N :meth:`feed` calls —
-        router batching and caller batching compose instead of
-        double-buffering — but the backend poll and the ordered emission
-        run once per batch instead of once per event, shrinking the
-        coordinator's per-event framing cost.
+        Each event gets its seq, is hashed to its shards and appended to
+        their open batches (sealed at ``batch_size``, so router batching
+        and caller chunks compose instead of double-buffering); local
+        queries run the chunk through the processor's own dataflow; the
+        backend poll and the ordered emission run once per chunk.
         """
         if self._flushed:
             raise SaseError("sharded stream already flushed")
         route = self._backend is not None and stream == self._default_stream
-        local_names = self._local_names
-        run_local = self._processor._run_queries
+        first = self._next_seq
         for event in events:
             seq = self._next_seq
             self._next_seq += 1
-            state = _SeqState(stream)
-            self._seq_states[seq] = state
+            self._seq_states[seq] = _SeqState(stream)
             if route:
                 self._route(seq, event)
-            if local_names:
-                state.local = run_local(event, stream, only=local_names)
+        if self._local_names:
+            local = self._processor._run_chunk(events, stream,
+                                               only=self._local_names)
+            for seq, produced in enumerate(local, first):
+                self._seq_states[seq].local = produced
         if self._backend is not None:
             self._handle(self._backend.poll())
         return self._emit_ready()

@@ -21,16 +21,18 @@ the classic synchronous single-process behaviour.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, TYPE_CHECKING
-
 import time
+from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Sequence, TYPE_CHECKING
 
 from repro.core.engine import CompiledQuery, Engine
 from repro.core.plan import PlanConfig
 from repro.core.runtime import QueryRuntime
-from repro.core.shared import SharedGroup, SharedMemberRuntime, \
-    SharedPlanConfig, plan_signature
+from repro.core.match import Match
+from repro.core.shared import GroupMember, PlanGroup, SharedPlanConfig, \
+    calls_functions, plan_signature
 from repro.errors import SaseError
 from repro.events.event import CompositeEvent, Event
 from repro.events.model import SchemaRegistry
@@ -51,21 +53,30 @@ class QueryKind(enum.Enum):
 
 @dataclass
 class RegisteredQuery:
-    """One live continuous query."""
+    """One live continuous query: a member of a plan group, which
+    evaluates the match plan, plus this query's own RETURN clause."""
 
     name: str
     kind: QueryKind
     compiled: CompiledQuery
-    runtime: QueryRuntime | SharedMemberRuntime
     on_result: ResultCallback | None
+    group: PlanGroup | None   # None once deregistered
+    member: GroupMember
     results_produced: int = 0
-    # The shared-plan group evaluating this query's match pipeline, or
-    # None when the query runs independently.
-    shared_group: SharedGroup | None = None
 
     @property
-    def shared(self) -> bool:
-        return self.shared_group is not None
+    def runtime(self) -> QueryRuntime | None:
+        """The group's raw-match pipeline — where this query's stream
+        state (stacks, partitions, buffered negations) lives."""
+        return self.group.pipeline if self.group is not None else None
+
+    @property
+    def shared_group(self) -> PlanGroup | None:
+        """The group other queries may join (shared-plan evaluation), or
+        None when this query's pipeline is private."""
+        group = self.group
+        return group if group is not None and group.signature is not None \
+            else None
 
     @property
     def input_stream(self) -> str:
@@ -78,6 +89,88 @@ class RegisteredQuery:
     def output_stream(self) -> str | None:
         """The stream this query's composite events feed (INTO)."""
         return self.compiled.analyzed.output_stream
+
+
+class _GroupEntry:
+    """One plan group as a stream's dispatch index sees it."""
+
+    __slots__ = ("group", "stream", "members", "types", "late")
+
+    def __init__(self, registered: RegisteredQuery):
+        analyzed = registered.compiled.analyzed
+        self.group = registered.group
+        self.stream = registered.input_stream
+        # (registration rank, query) of every member, in rank order.
+        self.members: list[tuple[int, RegisteredQuery]] = []
+        # The event types the group must see, or None for every type: an
+        # untyped component can bind any event, and a negation operator
+        # needs every event's timestamp as its watermark — its pending
+        # trailing-negation matches time out on stream time, whatever
+        # type of event moves it.
+        self.types: frozenset[str] | None = None
+        if not analyzed.has_negation and all(
+                component.event_types for component in analyzed.components):
+            self.types = frozenset(
+                event_type for component in analyzed.components
+                for event_type in component.event_types)
+        # A WHERE clause that calls a function may read the event
+        # database, so its match step cannot run ahead of any RETURN:
+        # it runs inside the RETURN phase, event by event, at the
+        # group's first member's place in registration order.
+        self.late = calls_functions(analyzed)
+
+
+class _DispatchIndex:
+    """The plan groups reading one stream (restricted to the queries in
+    *only* when given), in registration order of their first member, and
+    per event type the groups that must see it.
+
+    ``interleaved`` says a chunk fed on the stream has to be taken one
+    event at a time: a query publishing INTO the stream itself would
+    feed its composites behind events already matched.
+    """
+
+    def __init__(self, stream: str, only: frozenset | None,
+                 queries: list[RegisteredQuery]):
+        self.entries: list[_GroupEntry] = []
+        by_group: dict[int, _GroupEntry] = {}
+        for rank, registered in enumerate(queries):
+            if registered.input_stream != stream or \
+                    (only is not None and registered.name not in only):
+                continue
+            entry = by_group.get(id(registered.group))
+            if entry is None:
+                entry = by_group[id(registered.group)] = \
+                    _GroupEntry(registered)
+                self.entries.append(entry)
+            entry.members.append((rank, registered))
+        self.interleaved = any(
+            registered.output_stream == stream for registered in queries)
+        self._subscribers: dict[str, tuple[_GroupEntry, ...]] = {}
+        self._turns: dict[str, tuple[tuple, ...]] = {}
+
+    def subscribers(self, event_type: str) -> tuple[_GroupEntry, ...]:
+        """The groups an event of *event_type* is handed to."""
+        entries = self._subscribers.get(event_type)
+        if entries is None:
+            entries = self._subscribers[event_type] = tuple(
+                entry for entry in self.entries
+                if entry.types is None or event_type in entry.types)
+        return entries
+
+    def turns(self, event_type: str) -> tuple[tuple, ...]:
+        """The RETURN phase's steps for one event of *event_type* with
+        nothing matched ahead: every subscribed group's members in
+        registration order, each group to be matched on its first
+        member's turn (see :meth:`ComplexEventProcessor._return`)."""
+        turns = self._turns.get(event_type)
+        if turns is None:
+            turns = self._turns[event_type] = tuple(sorted(
+                ((0, rank, registered, None, entry)
+                 for entry in self.subscribers(event_type)
+                 for rank, registered in entry.members),
+                key=itemgetter(1)))
+        return turns
 
 
 class ComplexEventProcessor:
@@ -96,7 +189,6 @@ class ComplexEventProcessor:
     def __init__(self, registry: SchemaRegistry, functions: Any = None,
                  system: Any = None, config: PlanConfig | None = None,
                  sharding: "ShardingConfig | None" = None,
-                 use_dispatch_index: bool = True,
                  resilience: Any = None,
                  shared_plans: SharedPlanConfig | None = None):
         self._engine = Engine(registry, functions=functions, system=system,
@@ -108,7 +200,7 @@ class ComplexEventProcessor:
         # worker shards rebuild runtimes from specs on their own side.
         self._shared = shared_plans \
             if shared_plans is not None and shared_plans.enabled else None
-        self._shared_groups: dict[tuple, SharedGroup] = {}
+        self._shared_groups: dict[tuple, PlanGroup] = {}
         # Online-lifecycle listeners: called with ("register" |
         # "deregister", registered) after the query set changes, so
         # long-lived attachments (the persistence manager's replay
@@ -121,13 +213,11 @@ class ComplexEventProcessor:
         # chaos, shard supervision, and load shedding.
         self.resilience = resilience
         self._router: Any = None
-        # Multi-query dispatch index: stream -> event type -> the ordered
-        # actions to take (feed subscribing queries, watermark-advance
-        # negation queries that skip the event).  Built lazily per
-        # (stream, type) pair, invalidated on (de)registration.
-        self._use_dispatch_index = use_dispatch_index
-        self._dispatch_cache: dict[
-            tuple[str, str], list[tuple[RegisteredQuery, bool]]] = {}
+        # Type-dispatch index: per (stream, query subset), the plan groups
+        # reading the stream and, per event type, which of them must see
+        # it.  Built lazily, invalidated on (de)registration.
+        self._dispatch_cache: dict[tuple[str, frozenset | None],
+                                   _DispatchIndex] = {}
         # Observability (all opt-in; the hot path pays one None check
         # per hook when disabled).
         self._tracer: DataflowTracer | None = None
@@ -136,15 +226,13 @@ class ComplexEventProcessor:
         # suppression during crash recovery).
         self._delivery_filter: Callable[[str, CompositeEvent],
                                         bool] | None = None
-        # Persistence write path, fused into feed() so durability costs
-        # no extra per-event calls in host loops (one None check each
-        # when persistence is off).
-        self._persist_log: Callable[[Event], Any] | None = None
-        self._persist_post: Callable[[], Any] | None = None
-        # True while a feed_batch is executing: registration changes are
-        # rejected so delivery never looks up a query a mid-batch
-        # callback removed.
-        self._in_batch = False
+        # Persistence write path, fused into the feed loop so durability
+        # costs one call per chunk (one None check each when off).
+        self._persist_log: Callable[[list[Event]], Any] | None = None
+        self._persist_post: Callable[[int], Any] | None = None
+        # True while a chunk of several events is in flight:
+        # registration changes are rejected (see _feed).
+        self._feeding = False
 
     @property
     def sharding(self) -> "ShardingConfig | None":
@@ -212,10 +300,10 @@ class ComplexEventProcessor:
         """Register a continuous query.  "The event processor immediately
         starts executing the query over the RFID stream ... until the query
         is deleted by the user"."""
-        if self._in_batch:
+        if self._feeding:
             raise SaseError(
                 "cannot register a query while a batch feed is in flight; "
-                "register between batches")
+                "register between feeds")
         if name in self._queries:
             raise SaseError(f"a query named {name!r} is already registered")
         if self._router is not None:
@@ -224,39 +312,38 @@ class ComplexEventProcessor:
                 "started; register every query before the first feed")
         compiled = query if isinstance(query, CompiledQuery) \
             else self._engine.compile(query, config)
-        runtime, group = self._build_runtime(name, compiled)
+        group = self._join_group(compiled)
+        member = group.add_member(name, compiled.analyzed,
+                                  functions=self._engine.functions,
+                                  system=self._engine.system)
         registered = RegisteredQuery(
-            name=name, kind=kind, compiled=compiled, runtime=runtime,
-            on_result=on_result, shared_group=group)
+            name=name, kind=kind, compiled=compiled, on_result=on_result,
+            group=group, member=member)
         self._queries[name] = registered
         self._dispatch_cache.clear()
         self._notify_lifecycle("register", registered)
         return registered
 
-    def _build_runtime(self, name: str, compiled: CompiledQuery) \
-            -> tuple[QueryRuntime | SharedMemberRuntime,
-                     SharedGroup | None]:
-        """An independent runtime, or a member of a shared-plan group
-        when sharing is on and the query's match plan is shareable."""
-        if self._shared is None or \
+    def _join_group(self, compiled: CompiledQuery) -> PlanGroup:
+        """The plan group a new query's RETURN clause reads: a joinable
+        group with the same plan signature when sharing is on and the
+        match plan is shareable, a private group of one otherwise."""
+        signature = None
+        if self._shared is not None and not \
                 (self._sharding is not None and self._sharding.active):
-            return self._engine.runtime(compiled), None
-        signature = plan_signature(compiled.analyzed, compiled.plan.config,
-                                   self._shared)
-        if signature is None:
-            return self._engine.runtime(compiled), None
+            signature = plan_signature(
+                compiled.analyzed, compiled.plan.config, self._shared)
         group = self._shared_groups.get(signature)
         if group is None or not group.joinable:
             # A warm group is never joined: its pipeline already holds
             # partial matches a query registered *now* must not see.
-            pipeline = QueryRuntime(compiled.plan, self._engine.functions,
-                                    self._engine.system, raw_matches=True)
-            group = SharedGroup(signature, pipeline)
-            self._shared_groups[signature] = group
-        member = group.add_member(name, compiled.analyzed,
-                                  functions=self._engine.functions,
-                                  system=self._engine.system)
-        return member, group
+            group = PlanGroup(
+                QueryRuntime(compiled.plan, self._engine.functions,
+                             self._engine.system, raw_matches=True),
+                signature)
+            if signature is not None:
+                self._shared_groups[signature] = group
+        return group
 
     def compile(self, query: str,
                 config: PlanConfig | None = None) -> CompiledQuery:
@@ -280,10 +367,10 @@ class ComplexEventProcessor:
         entries, and its metrics.  Lifecycle listeners run last so
         attachments like the persistence manager's replay horizon
         re-derive from the remaining query set."""
-        if self._in_batch:
+        if self._feeding:
             raise SaseError(
                 "cannot deregister a query while a batch feed is in "
-                "flight; deregister between batches")
+                "flight; deregister between feeds")
         if name not in self._queries:
             raise SaseError(f"no query named {name!r} is registered")
         if self._router is not None:
@@ -291,17 +378,16 @@ class ComplexEventProcessor:
                 "cannot deregister a query after the sharded stream has "
                 "started")
         registered = self._queries.pop(name)
-        group = registered.shared_group
-        if group is not None:
-            group.remove_member(name)
-            if not group.members and \
-                    self._shared_groups.get(group.signature) is group:
-                del self._shared_groups[group.signature]
-        # Drop the runtime reference eagerly: RegisteredQuery objects can
-        # outlive deregistration in caller hands, and the runtime is
-        # where the per-query stream state (stacks, partitions, buffered
-        # negations) lives.
-        registered.runtime = None  # type: ignore[assignment]
+        group = registered.group
+        group.remove_member(name)
+        if not group.members and \
+                self._shared_groups.get(group.signature) is group:
+            del self._shared_groups[group.signature]
+        # Drop the group reference eagerly: RegisteredQuery objects can
+        # outlive deregistration in caller hands, and the group's
+        # pipeline is where the stream state (stacks, partitions,
+        # buffered negations) lives.
+        registered.group = None
         self._dispatch_cache.clear()
         self.metrics.forget(name)
         self._notify_lifecycle("deregister", registered)
@@ -329,17 +415,14 @@ class ComplexEventProcessor:
     def shared_plan_report(self) -> dict[str, Any]:
         """Shared-plan introspection: group count, member fan-out, and
         how many registered queries ride a shared pipeline."""
-        groups = {id(registered.shared_group)
-                  for registered in self._queries.values()
-                  if registered.shared_group is not None}
-        shared_queries = sum(1 for registered in self._queries.values()
-                             if registered.shared_group is not None)
-        fanout = [len(registered.shared_group.members)
+        shared = [registered.shared_group
                   for registered in self._queries.values()
                   if registered.shared_group is not None]
+        shared_queries = len(shared)
+        fanout = [len(group.members) for group in shared]
         return {
             "enabled": self._shared is not None,
-            "groups": len(groups),
+            "groups": len({id(group) for group in shared}),
             "shared_queries": shared_queries,
             "independent_queries": len(self._queries) - shared_queries,
             "max_fanout": max(fanout, default=0),
@@ -360,162 +443,256 @@ class ComplexEventProcessor:
     def feed(self, event: Event,
              stream: str = DEFAULT_STREAM) \
             -> list[tuple[str, CompositeEvent]]:
-        """Push one event through every query reading *stream*, cascading
-        INTO-published composite events to their consumers; returns the
-        (query name, result) pairs produced and fires callbacks.
+        """Push one event through every query reading *stream*:
+        :meth:`feed_batch` on a chunk of one."""
+        return self._feed([event], stream)[0]
 
-        Under an active sharding configuration the event is handed to the
-        shard router instead; the returned results are then the merged,
-        deterministically ordered results that have become complete so far
-        (asynchronous backends may emit them on a later feed or at flush).
+    def feed_many(self, events: Iterable[Event]) \
+            -> list[tuple[str, CompositeEvent]]:
+        produced: list[tuple[str, CompositeEvent]] = []
+        for event in events:
+            produced.extend(self.feed(event))
+        return produced
+
+    def feed_batch(self, events: Iterable[Event],
+                   stream: str = DEFAULT_STREAM) \
+            -> list[tuple[str, CompositeEvent]]:
+        """Push a chunk of events through every query reading *stream*,
+        cascading INTO-published composite events to their consumers;
+        returns the (query name, result) pairs produced, in exactly the
+        order feeding the events one at a time produces them, and fires
+        callbacks (after the whole chunk; a callback that registers or
+        deregisters a query is rejected unless the chunk is one event).
+
+        Under an active sharding configuration the chunk is handed to
+        the shard router instead; the returned results are then the
+        merged, deterministically ordered results that have become
+        complete so far (asynchronous backends may emit them on a later
+        feed or at flush).
         """
+        return [pair for bucket in self._feed(list(events), stream)
+                for pair in bucket]
+
+    def feed_batch_grouped(self, events: list[Event],
+                           stream: str = DEFAULT_STREAM) \
+            -> list[list[tuple[str, CompositeEvent]]]:
+        """Like :meth:`feed_batch` but returns one result list per input
+        event — shard workers use this to tag results with the arrival
+        number of the event that produced them.  Not available under an
+        active sharding configuration (the router owns event order)."""
+        if self._sharding is not None and self._sharding.active:
+            raise SaseError(
+                "feed_batch_grouped is for synchronous processors; "
+                "the sharded path groups by seq in the router")
+        return self._feed(events, stream)
+
+    def _feed(self, events: list[Event], stream: str) \
+            -> list[list[tuple[str, CompositeEvent]]]:
+        """The one ingest function: write-ahead-log the chunk, run it
+        (router or :meth:`_run_chunk`), deliver, checkpoint.  One result
+        list per event (sharded: per routed piece of the chunk).
+
+        The chunk runs whole unless something observable needs events
+        interleaved one at a time — an attached tracer (one trace per
+        event), the slow-feed log (one timing per event and query), or
+        a query publishing INTO *stream* itself (see
+        :class:`_DispatchIndex`) — in which case the same loop takes it
+        in pieces of one."""
+        if not events:
+            return []
         log = self._persist_log
         if log is not None:
-            log(event)   # WAL-before-processing
-        if self._tracer is not None:
-            self._tracer.begin(event, stream=stream)
-        if self._sharding is not None and self._sharding.active:
-            router = self._ensure_router()
-            emitted = router.feed(event, stream)
-        else:
-            emitted = self._run_queries(event, stream)
-        results = self._deliver_all(emitted)
+            log(events)   # WAL-before-processing
+        tracer = self._tracer
+        pieces = (events,)
+        if len(events) > 1 and (
+                tracer is not None or self._slow_log is not None
+                or self._dispatch_index(stream, None).interleaved):
+            pieces = [[event] for event in events]
+        router = self._ensure_router() if self._sharding is not None \
+            and self._sharding.active else None
+        grouped: list[list[tuple[str, CompositeEvent]]] = []
+        # Registration changes (from a result callback) are rejected
+        # while a piece of several events is in flight: its match phase
+        # has already run ahead of the RETURN that would make them.
+        # The outer value is restored, so a callback that re-enters
+        # feed() leaves the chunk it interrupted guarded.
+        outer = self._feeding
+        try:
+            for piece in pieces:
+                self._feeding = outer or len(piece) > 1
+                if tracer is not None:
+                    tracer.begin(piece[0], stream=stream)
+                produced = [router.feed(piece, stream)] \
+                    if router is not None \
+                    else self._run_chunk(piece, stream)
+                for bucket in produced:
+                    grouped.append(self._deliver_all(bucket)
+                                   if bucket else bucket)
+        finally:
+            self._feeding = outer
         post = self._persist_post
         if post is not None:
-            released = post()   # a due checkpoint's drain barrier
+            released = post(len(events))   # a due checkpoint's barrier
             if released:
-                results.extend(released)
-        return results
+                grouped[-1].extend(released)
+        return grouped
 
-    def _run_queries(self, event: Event, stream: str,
-                     only: frozenset | set | None = None) \
-            -> list[tuple[str, CompositeEvent]]:
-        """The synchronous dataflow: feed *event* to every query reading
-        *stream* (restricted to *only* when given), cascading composite
-        events.  Results are returned, not delivered.
+    def _run_chunk(self, events: list[Event], stream: str,
+                   only: frozenset | None = None) \
+            -> list[list[tuple[str, CompositeEvent]]]:
+        """The synchronous dataflow for one chunk on *stream*
+        (restricted to the queries named in *only* when given).
+        Results are returned per event, not delivered.
 
-        With the dispatch index enabled, only queries whose pattern
-        mentions the event's type (positively or under negation) are fed;
-        negation queries that skip the event still receive its timestamp
-        as a watermark so trailing-negation matches release at the same
-        stream time either way.
-        """
+        Match phase: each plan group reading *stream* is handed its
+        slice of the chunk — the events of the types it subscribes to,
+        found through the dispatch index — and its raw matches are
+        collected as the RETURN phase's steps, ``(slot, rank, query,
+        matches, group entry)``: one for every event slot and group
+        member with matches to turn into results.  It touches nothing
+        outside the groups' own pipelines.  A *late* group (its WHERE
+        clause calls a function, which may read what a RETURN wrote) is
+        not matched ahead: it gets a step with ``matches`` None for
+        every slot it subscribes to.  In a chunk of one there is
+        nothing to match ahead of, so every group takes that road and
+        the steps are the event type's cached turns.
+
+        RETURN phase: :meth:`_return` walks the steps slot by slot, in
+        registration order."""
+        index = self._dispatch_index(stream, only)
+        if len(events) == 1:
+            bucket: list[tuple[str, CompositeEvent]] = []
+            self._return(index.turns(events[0].type), events[0], stream,
+                         bucket, only)
+            return [bucket]
+        per_event: list[list[tuple[str, CompositeEvent]]] = \
+            [[] for _ in events]
+        work: dict[_GroupEntry, tuple[list[int], list[Event]]] = {}
+        for slot, event in enumerate(events):
+            for entry in index.subscribers(event.type):
+                sliced = work.get(entry)
+                if sliced is None:
+                    sliced = work[entry] = ([], [])
+                sliced[0].append(slot)
+                sliced[1].append(event)
+        steps: list[tuple] = []
+        for entry, (slots, seen) in work.items():
+            grouped = repeat(None) if entry.late \
+                else self._match_group(entry, seen)
+            for slot, matches in zip(slots, grouped):
+                if matches is None or matches:
+                    for rank, registered in entry.members:
+                        steps.append((slot, rank, registered, matches,
+                                      entry))
+        # (slot, rank) pairs are unique, so the sort never compares the
+        # objects behind them.
+        steps.sort()
+        for slot, entries in groupby(steps, key=itemgetter(0)):
+            self._return(list(entries), events[slot], stream,
+                         per_event[slot], only)
+        return per_event
+
+    def _match_group(self, entry: _GroupEntry,
+                     events: list[Event]) -> list[list[Match]]:
+        """One group's match step over its slice of a chunk, metered
+        and (a chunk of one then) traced."""
+        started = time.perf_counter()
+        grouped = entry.group.pipeline.feed_batch_grouped(events)
+        elapsed = time.perf_counter() - started
+        share = elapsed / len(entry.members)
         tracer = self._tracer
         slow = self._slow_log
-        produced: list[tuple[str, CompositeEvent]] = []
-        pending: list[tuple[str, Event, int]] = [(stream, event, 0)]
-        while pending:
-            current_stream, current_event, depth = pending.pop(0)
-            if depth > self.MAX_CASCADE_DEPTH:
-                raise SaseError(
-                    f"query cascade exceeded {self.MAX_CASCADE_DEPTH} "
-                    f"levels on stream {current_stream!r}; check for an "
-                    f"INTO/FROM cycle")
-            actions = self._dispatch_actions(current_stream,
-                                             current_event.type)
+        for _, registered in entry.members:
+            name = registered.name
+            self.metrics.query(name).record(len(events), 0, share, None)
+            if tracer is not None:
+                event = events[0]
+                matches = grouped[0]
+                tracer.record(
+                    "scan", query=name, stream=entry.stream,
+                    ts=event.timestamp, duration=elapsed,
+                    detail={"event_type": event.type,
+                            "results": len(matches)})
+                if matches:
+                    tracer.record(
+                        "construct", query=name, stream=entry.stream,
+                        ts=event.timestamp,
+                        detail={"matches": len(matches)})
+            if slow is not None and elapsed >= slow.threshold:
+                slow.record(name, events[0], elapsed, len(grouped[0]))
+        return grouped
+
+    def _return(self, steps: Sequence[tuple], event: Event, stream: str,
+                bucket: list[tuple[str, CompositeEvent]],
+                only: frozenset | None) -> None:
+        """The RETURN phase for one event: walk its steps — group
+        members in registration order — evaluating each member's RETURN
+        clause over its group's matches, the only place the event
+        database is written.  A group not matched ahead is matched on
+        its first member's turn, so a WHERE clause that reads the
+        database sees exactly what the RETURNs before it wrote.  Then
+        cascade the composites published INTO streams, breadth first,
+        each as one more event through the same walk."""
+        tracer = self._tracer
+        cascade: list[tuple[str, Event, int]] = []
+        depth = 0
+        while True:
             if tracer is not None:
                 tracer.record(
-                    "dispatch", stream=current_stream,
-                    ts=current_event.timestamp,
-                    detail={"event_type": current_event.type,
-                            "depth": depth, "actions": len(actions)})
-            for registered, is_feed in actions:
-                if only is not None and registered.name not in only:
-                    continue
+                    "dispatch", stream=stream, ts=event.timestamp,
+                    detail={"event_type": event.type, "depth": depth,
+                            "actions": len(steps)})
+            matched: dict[_GroupEntry, list[Match]] = {}
+            for _, _, registered, matches, entry in steps:
+                if matches is None:
+                    matches = matched.get(entry)
+                    if matches is None:
+                        matches = matched[entry] = \
+                            self._match_group(entry, [event])[0]
+                    if not matches:
+                        continue
+                name = registered.name
+                evaluate = registered.member.returns
                 started = time.perf_counter()
-                if is_feed:
-                    results = registered.runtime.feed(current_event)
-                    elapsed = time.perf_counter() - started
-                    self.metrics.query(registered.name).record(
-                        1, len(results), elapsed,
-                        current_event.timestamp)
+                for match in matches:
+                    result = evaluate(match)
+                    bucket.append((name, result))
                     if tracer is not None:
                         tracer.record(
-                            "scan", query=registered.name,
-                            stream=current_stream,
-                            ts=current_event.timestamp, duration=elapsed,
-                            detail={"event_type": current_event.type,
-                                    "results": len(results)})
-                        if results:
-                            tracer.record(
-                                "construct", query=registered.name,
-                                stream=current_stream,
-                                ts=current_event.timestamp,
-                                detail={"matches": len(results)})
-                    if slow is not None and elapsed >= slow.threshold:
-                        slow.record(registered.name, current_event,
-                                    elapsed, len(results))
-                else:
-                    results = registered.runtime.advance(
-                        current_event.timestamp)
-                    if results:
-                        elapsed = time.perf_counter() - started
-                        self.metrics.query(registered.name).record(
-                            0, len(results), elapsed,
-                            current_event.timestamp)
-                        if tracer is not None:
-                            tracer.record(
-                                "advance", query=registered.name,
-                                stream=current_stream,
-                                ts=current_event.timestamp,
-                                duration=elapsed,
-                                detail={"released": len(results)})
-                for result in results:
-                    produced.append((registered.name, result))
-                    if tracer is not None:
-                        tracer.record(
-                            "return", query=registered.name,
-                            stream=result.stream, ts=result.end,
-                            detail={"attributes":
-                                    dict(result.attributes)})
+                            "return", query=name, stream=result.stream,
+                            ts=result.end,
+                            detail={"attributes": dict(result.attributes)})
                     if result.stream is not None:
                         if tracer is not None:
                             tracer.record(
-                                "cascade", query=registered.name,
+                                "cascade", query=name,
                                 stream=result.stream, ts=result.end,
                                 detail={"depth": depth + 1})
-                        pending.append((result.stream, result.to_event(),
+                        cascade.append((result.stream, result.to_event(),
                                         depth + 1))
-        return produced
+                # Freshness is the stream time of the triggering event.
+                self.metrics.query(name).record(
+                    0, len(matches), time.perf_counter() - started,
+                    event.timestamp)
+            if not cascade:
+                return
+            stream, event, depth = cascade.pop(0)
+            if depth > self.MAX_CASCADE_DEPTH:
+                raise SaseError(
+                    f"query cascade exceeded {self.MAX_CASCADE_DEPTH} "
+                    f"levels on stream {stream!r}; check for an "
+                    f"INTO/FROM cycle")
+            steps = self._dispatch_index(stream, only).turns(event.type)
 
-    def _dispatch_actions(self, stream: str, event_type: str) \
-            -> list[tuple[RegisteredQuery, bool]]:
-        """The ordered ``(query, is_feed)`` actions for one event on
-        *stream* with *event_type*.  Registration order is preserved so
-        result ordering is identical with the index on or off."""
-        if not self._use_dispatch_index:
-            return [(registered, True)
-                    for registered in self._queries.values()
-                    if registered.input_stream == stream]
-        key = (stream, event_type)
-        actions = self._dispatch_cache.get(key)
-        if actions is None:
-            actions = []
-            for registered in self._queries.values():
-                if registered.input_stream != stream:
-                    continue
-                types = self._subscribed_types(registered)
-                if types is None or event_type in types:
-                    actions.append((registered, True))
-                elif registered.compiled.analyzed.has_negation:
-                    # Not subscribed, but its pending trailing-negation
-                    # matches must still see time move forward.
-                    actions.append((registered, False))
-            self._dispatch_cache[key] = actions
-        return actions
-
-    @staticmethod
-    def _subscribed_types(registered: RegisteredQuery) \
-            -> frozenset[str] | None:
-        """The event types *registered* must observe (positive plus
-        negated components), or None when it must see every type."""
-        types: set[str] = set()
-        for component in registered.compiled.analyzed.components:
-            event_types = component.event_types
-            if not event_types:
-                return None  # untyped component: any-type bucket
-            types.update(event_types)
-        return frozenset(types)
+    def _dispatch_index(self, stream: str,
+                        only: frozenset | None) -> "_DispatchIndex":
+        key = (stream, only)
+        index = self._dispatch_cache.get(key)
+        if index is None:
+            index = self._dispatch_cache[key] = _DispatchIndex(
+                stream, only, list(self._queries.values()))
+        return index
 
     def advance_time(self, watermark: float,
                      only: frozenset | set | None = None) \
@@ -524,12 +701,18 @@ class ComplexEventProcessor:
         an event, releasing pending trailing-negation matches.  Used by
         shard workers processing broadcast watermark ticks."""
         tracer = self._tracer
+        released: dict[int, list[Match]] = {}
         produced: list[tuple[str, CompositeEvent]] = []
         for registered in self._queries.values():
             if only is not None and registered.name not in only:
                 continue
             started = time.perf_counter()
-            results = registered.runtime.advance(watermark)
+            matches = released.get(id(registered.group))
+            if matches is None:   # one advance per group
+                matches = released[id(registered.group)] = \
+                    registered.runtime.advance(watermark)
+            results = [registered.member.returns(match)
+                       for match in matches]
             if results:
                 elapsed = time.perf_counter() - started
                 self.metrics.query(registered.name).record(
@@ -564,30 +747,25 @@ class ComplexEventProcessor:
         self._delivery_filter = accept
 
     def set_persistence_hooks(
-            self, log: Callable[[Event], Any] | None,
-            post: Callable[[], Any] | None) -> None:
-        """Fuse the durability write path into :meth:`feed`: *log* runs
-        for every live event before it is processed (the WAL append),
-        *post* runs after delivery and returns any matches a due
-        checkpoint's drain barrier released.  The persistence manager
-        installs these after recovery completes — never during replay —
-        and removes them on close."""
+            self, log: Callable[[list[Event]], Any] | None,
+            post: Callable[[int], Any] | None) -> None:
+        """Fuse the durability write path into the feed loop: *log* runs
+        on every live chunk of events before it is processed (the WAL
+        append), *post* runs after delivery with the chunk's event count
+        and returns any matches a due checkpoint's drain barrier
+        released.  The persistence manager installs these after recovery
+        completes — never during replay — and removes them on close."""
         self._persist_log = log
         self._persist_post = post
 
     def _deliver_all(self, emitted: list[tuple[str, CompositeEvent]]) \
             -> list[tuple[str, CompositeEvent]]:
         accept = self._delivery_filter
-        if accept is None:
-            for name, result in emitted:
-                self._deliver(self._queries[name], result)
-            return emitted
-        delivered: list[tuple[str, CompositeEvent]] = []
+        if accept is not None:
+            emitted = [pair for pair in emitted if accept(*pair)]
         for name, result in emitted:
-            if accept(name, result):
-                self._deliver(self._queries[name], result)
-                delivered.append((name, result))
-        return delivered
+            self._deliver(self._queries[name], result)
+        return emitted
 
     def drain(self) -> list[tuple[str, CompositeEvent]]:
         """Checkpoint barrier: force every in-flight sharded batch to
@@ -611,145 +789,6 @@ class ComplexEventProcessor:
         return bool(self._router is not None
                     and getattr(self._router, "degraded", False))
 
-    def feed_many(self, events: Iterable[Event]) \
-            -> list[tuple[str, CompositeEvent]]:
-        produced: list[tuple[str, CompositeEvent]] = []
-        for event in events:
-            produced.extend(self.feed(event))
-        return produced
-
-    def feed_batch(self, events: Iterable[Event],
-                   stream: str = DEFAULT_STREAM) \
-            -> list[tuple[str, CompositeEvent]]:
-        """Push a batch of events through every query reading *stream*
-        in one call, result-identical to feeding them one at a time
-        (same results, same order).
-
-        The batched dataflow engages when no per-event hook is installed
-        (tracer, slow-feed log, persistence WAL) and no registered query
-        cascades via INTO; otherwise the batch silently degrades to the
-        per-event path, so callers can batch unconditionally.  Delivery
-        callbacks fire after the whole batch is scanned; registration
-        changes from inside a callback are rejected mid-batch.
-        """
-        events = list(events)
-        if not events:
-            return []
-        if not self._batch_fast_path():
-            produced: list[tuple[str, CompositeEvent]] = []
-            for event in events:
-                produced.extend(self.feed(event))
-            return produced
-        self._in_batch = True
-        try:
-            if self._sharding is not None and self._sharding.active:
-                emitted = self._ensure_router().feed_batch(events, stream)
-            else:
-                emitted = []
-                for bucket in self._run_queries_batch(events, stream):
-                    emitted.extend(bucket)
-            return self._deliver_all(emitted)
-        finally:
-            self._in_batch = False
-
-    def feed_batch_grouped(self, events: list[Event],
-                           stream: str = DEFAULT_STREAM) \
-            -> list[list[tuple[str, CompositeEvent]]]:
-        """Like :meth:`feed_batch` but returns one result list per input
-        event — shard workers use this to tag results with the arrival
-        number of the event that produced them.  Not available under an
-        active sharding configuration (the router owns event order)."""
-        if not events:
-            return []
-        if self._sharding is not None and self._sharding.active:
-            raise SaseError(
-                "feed_batch_grouped is for synchronous processors; "
-                "the sharded path groups by seq in the router")
-        if not self._batch_fast_path():
-            return [self.feed(event, stream) for event in events]
-        self._in_batch = True
-        try:
-            buckets = self._run_queries_batch(events, stream)
-            return [self._deliver_all(bucket) for bucket in buckets]
-        finally:
-            self._in_batch = False
-
-    def _batch_fast_path(self) -> bool:
-        """True when batched execution is observably identical to the
-        per-event path: no per-event hooks, and (synchronous runtime
-        only) no INTO cascades — cascade composites must interleave with
-        their triggering events."""
-        if self._tracer is not None or self._slow_log is not None:
-            return False
-        if self._persist_log is not None or self._persist_post is not None:
-            return False
-        if self._sharding is not None and self._sharding.active:
-            return True  # the router sequences events internally
-        return all(registered.output_stream is None
-                   for registered in self._queries.values())
-
-    def _run_queries_batch(self, events: list[Event], stream: str) \
-            -> list[list[tuple[str, CompositeEvent]]]:
-        """The batched synchronous dataflow (no cascades): each query
-        reads its subscribed slice of the batch through the runtime's
-        batch path, and results are reassembled per event in
-        registration order — exactly what N ``_run_queries`` calls
-        would have produced."""
-        per_event: list[list[tuple[str, CompositeEvent]]] = \
-            [[] for _ in events]
-        metrics = self.metrics
-        for registered in self._queries.values():
-            if registered.input_stream != stream:
-                continue
-            name = registered.name
-            runtime = registered.runtime
-            types = self._subscribed_types(registered) \
-                if self._use_dispatch_index else None
-            if registered.compiled.analyzed.has_negation:
-                # Negation interleaves event observation with watermark
-                # advances; replicate the per-event dispatch exactly.
-                for slot, event in enumerate(events):
-                    started = time.perf_counter()
-                    if types is None or event.type in types:
-                        results = runtime.feed(event)
-                        elapsed = time.perf_counter() - started
-                        metrics.query(name).record(
-                            1, len(results), elapsed, event.timestamp)
-                    else:
-                        results = runtime.advance(event.timestamp)
-                        if results:
-                            elapsed = time.perf_counter() - started
-                            metrics.query(name).record(
-                                0, len(results), elapsed, event.timestamp)
-                    bucket = per_event[slot]
-                    for result in results:
-                        bucket.append((name, result))
-                continue
-            if types is None:
-                slots: list[int] | range = range(len(events))
-                fed = events
-            else:
-                slots = [index for index, event in enumerate(events)
-                         if event.type in types]
-                if not slots:
-                    continue
-                fed = [events[index] for index in slots]
-            started = time.perf_counter()
-            grouped = runtime.feed_batch_grouped(fed)
-            elapsed = time.perf_counter() - started
-            total = 0
-            last_ts: float | None = None
-            for slot, event, results in zip(slots, fed, grouped):
-                if results:
-                    total += len(results)
-                    if last_ts is None or event.timestamp > last_ts:
-                        last_ts = event.timestamp
-                    bucket = per_event[slot]
-                    for result in results:
-                        bucket.append((name, result))
-            metrics.query(name).record(len(fed), total, elapsed, last_ts)
-        return per_event
-
     def flush(self) -> list[tuple[str, CompositeEvent]]:
         """End of stream: release pending trailing-negation matches.
 
@@ -766,7 +805,7 @@ class ComplexEventProcessor:
                     for name, result, _ in self._flush_queries()]
         return self._deliver_all(produced)
 
-    def _flush_queries(self, only: frozenset | set | None = None) \
+    def _flush_queries(self, only: frozenset | None = None) \
             -> list[tuple[str, CompositeEvent, int]]:
         """Flush every (selected) query in cascade order.
 
@@ -774,52 +813,33 @@ class ComplexEventProcessor:
         ``trigger_rank`` is the flush-order rank of the query whose flush
         released the result (cascade results carry their trigger's rank,
         keeping them glued behind it for deterministic merging).
+        Composites released INTO a stream still reach its consumers —
+        restricted to *only*, since queries flushed elsewhere (on worker
+        shards) must not receive them here.
         """
         produced: list[tuple[str, CompositeEvent, int]] = []
-        order = self._flush_order()
-        ranks = {registered.name: rank
-                 for rank, registered in enumerate(order)}
-        flushed: set[str] = set()
-        if only is not None:
-            # Queries flushed elsewhere (on worker shards) must not
-            # receive late-routed composites here.
-            flushed.update(name for name in self._queries
-                           if name not in only)
-        for registered in order:
+        released: dict[int, list[Match]] = {}
+        for rank, registered in enumerate(self._flush_order()):
             if only is not None and registered.name not in only:
                 continue
-            rank = ranks[registered.name]
-            for result in registered.runtime.flush():
+            matches = released.get(id(registered.group))
+            if matches is None:   # one flush per group
+                matches = released[id(registered.group)] = \
+                    registered.runtime.flush()
+            for match in matches:
+                result = registered.member.returns(match)
                 produced.append((registered.name, result, rank))
                 if result.stream is not None:
-                    self._route_late(result.stream, result.to_event(),
-                                     flushed, produced, depth=0,
-                                     trigger_rank=rank)
-            flushed.add(registered.name)
+                    cascaded, = self._run_chunk(
+                        [result.to_event()], result.stream, only)
+                    produced.extend((name, composite, rank)
+                                    for name, composite in cascaded)
         return produced
 
     def flush_ranks(self) -> dict[str, int]:
         """Each query's global flush-order rank (producers first)."""
         return {registered.name: rank
                 for rank, registered in enumerate(self._flush_order())}
-
-    def _route_late(self, stream: str, event: Event, flushed: set[str],
-                    produced: list[tuple[str, CompositeEvent, int]],
-                    depth: int, trigger_rank: int) -> None:
-        if depth > self.MAX_CASCADE_DEPTH:
-            raise SaseError(
-                f"query cascade exceeded {self.MAX_CASCADE_DEPTH} levels "
-                f"during flush on stream {stream!r}")
-        for registered in self._queries.values():
-            if registered.input_stream != stream or \
-                    registered.name in flushed:
-                continue
-            for result in registered.runtime.feed(event):
-                produced.append((registered.name, result, trigger_rank))
-                if result.stream is not None:
-                    self._route_late(result.stream, result.to_event(),
-                                     flushed, produced, depth + 1,
-                                     trigger_rank)
 
     def _flush_order(self) -> list[RegisteredQuery]:
         """Producers before consumers: order queries by their stream depth
@@ -862,11 +882,6 @@ class ComplexEventProcessor:
     @property
     def engine_config(self) -> PlanConfig:
         return self._engine.config
-
-    @property
-    def use_dispatch_index(self) -> bool:
-        """Whether the type-dispatch subscription index is active."""
-        return self._use_dispatch_index
 
     @property
     def registry(self) -> SchemaRegistry:

@@ -1,10 +1,10 @@
 """Tests for the processor's multi-query type-dispatch index.
 
 The index must be semantically transparent: with many registered queries
-the event stream produces exactly the same results, in the same order,
-with the index on or off — including negation timeouts (which depend on
-watermark progress from events the query does not subscribe to) and
-INTO/FROM cascades.
+the event stream produces exactly what each query produces alone on a
+processor of its own, in event order and, per event, registration order
+— including negation timeouts (which depend on watermark progress from
+events the query does not subscribe to) and INTO/FROM cascades.
 """
 
 from __future__ import annotations
@@ -45,10 +45,8 @@ def _key(produced):
              result.start, result.end) for name, result in produced]
 
 
-def _run(registry, events, *, use_dispatch_index, queries=QUERIES,
-         sharding=None):
-    processor = ComplexEventProcessor(
-        registry, sharding=sharding, use_dispatch_index=use_dispatch_index)
+def _run(registry, events, *, queries=QUERIES, sharding=None):
+    processor = ComplexEventProcessor(registry, sharding=sharding)
     for name, text in queries:
         processor.register_monitoring_query(name, text)
     produced = processor.feed_many(events)
@@ -56,18 +54,36 @@ def _run(registry, events, *, use_dispatch_index, queries=QUERIES,
     return _key(produced), processor
 
 
+def _run_solo(registry, events, queries=QUERIES):
+    """The oracle: every query alone on its own processor, all fed the
+    same stream; per event the results are concatenated in registration
+    order, which is the order one processor holding them all emits."""
+    solos = []
+    for name, text in queries:
+        processor = ComplexEventProcessor(registry)
+        processor.register_monitoring_query(name, text)
+        solos.append(processor)
+    produced = []
+    for event in events:
+        for processor in solos:
+            produced.extend(processor.feed(event))
+    for processor in solos:
+        produced.extend(processor.flush())
+    return _key(produced)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_dispatch_index_is_transparent(abc_registry, seed):
     events = _stream(seed, 120)
-    with_index, _ = _run(abc_registry, events, use_dispatch_index=True)
-    without, _ = _run(abc_registry, events, use_dispatch_index=False)
-    assert with_index == without
+    together, _ = _run(abc_registry, events)
+    assert together == _run_solo(abc_registry, events)
+    assert {name for name, *_ in together} >= {"ab", "neg", "dd"}
 
 
 def test_negation_timeout_released_by_unsubscribed_event(abc_registry):
     """The 'neg' query does not subscribe to D events, but a D event's
     timestamp must still advance its watermark so the trailing negation
-    times out at the same stream time as without the index."""
+    times out when stream time passes its deadline, not at flush."""
     events = [
         Event("A", 1.0, {"id": 1, "v": 1}).with_seq(0),
         Event("B", 2.0, {"id": 1, "v": 1}).with_seq(1),
@@ -75,15 +91,21 @@ def test_negation_timeout_released_by_unsubscribed_event(abc_registry):
         Event("D", 9.5, {"id": 1, "v": 1}).with_seq(2),
         Event("D", 20.0, {"id": 1, "v": 1}).with_seq(3),
     ]
-    with_index, _ = _run(abc_registry, events, use_dispatch_index=True)
-    without, _ = _run(abc_registry, events, use_dispatch_index=False)
-    assert with_index == without
-    assert any(name == "neg" for name, *_ in with_index)
+    processor = ComplexEventProcessor(abc_registry)
+    for name, text in QUERIES:
+        processor.register_monitoring_query(name, text)
+    per_event = [[name for name, _ in processor.feed(event)]
+                 for event in events]
+    assert "neg" not in per_event[0] + per_event[1]
+    assert "neg" in per_event[2]       # released by the first D
+    assert "neg" not in per_event[3]
+    assert "neg" not in [name for name, _ in processor.flush()]
+    together, _ = _run(abc_registry, events)
+    assert together == _run_solo(abc_registry, events)
 
 
 def test_dispatch_index_skips_nonsubscribers(abc_registry):
-    _, processor = _run(abc_registry, _stream(5, 60),
-                        use_dispatch_index=True)
+    _, processor = _run(abc_registry, _stream(5, 60))
     # The D-only query never saw the A/B/C traffic.
     dd = processor.metrics.query("dd")
     d_count = sum(1 for event in _stream(5, 60) if event.type == "D")
@@ -94,17 +116,17 @@ def test_dispatch_index_skips_nonsubscribers(abc_registry):
     assert ab.events_in == ab_count
 
 
-def test_dispatch_actions_cached_and_invalidated(abc_registry):
+def test_dispatch_index_cached_and_invalidated(abc_registry):
     processor = ComplexEventProcessor(abc_registry)
     processor.register_monitoring_query("ab", QUERIES[0][1])
     processor.feed(Event("A", 1.0, {"id": 1, "v": 1}))
-    key = (processor.DEFAULT_STREAM, "A")
+    key = (processor.DEFAULT_STREAM, None)
     assert key in processor._dispatch_cache
     first = processor._dispatch_cache[key]
     processor.feed(Event("A", 2.0, {"id": 1, "v": 1}))
     assert processor._dispatch_cache[key] is first  # memoized
-    # Registration mid-stream must rebuild the map so the new query sees
-    # subsequent events.
+    # Registration mid-stream must rebuild the index so the new query
+    # sees subsequent events.
     seen = []
     processor.register_monitoring_query(
         "a_late", "EVENT A x RETURN x.id",
@@ -120,7 +142,9 @@ def test_dispatch_actions_cached_and_invalidated(abc_registry):
 
 def test_into_cascade_crosses_dispatch_index(abc_registry):
     """Composite events published INTO a stream must reach consumers on
-    that stream through the per-stream dispatch map."""
+    that stream through the per-stream dispatch index: the consumer
+    produces what it produces alone when handed the producer's
+    composites, right behind the event that triggered them."""
     abc_registry.declare("Pair", id=AttributeType.INT)
     queries = [
         ("producer", "EVENT SEQ(A x, B y) WHERE x.id = y.id WITHIN 10 "
@@ -129,23 +153,28 @@ def test_into_cascade_crosses_dispatch_index(abc_registry):
          "RETURN p.id"),
     ]
     events = _stream(7, 80)
-    with_index, _ = _run(abc_registry, events, use_dispatch_index=True,
-                         queries=queries)
-    without, _ = _run(abc_registry, events, use_dispatch_index=False,
-                      queries=queries)
-    assert with_index == without
-    assert any(name == "consumer" for name, *_ in with_index)
+    together, _ = _run(abc_registry, events, queries=queries)
+
+    producer = ComplexEventProcessor(abc_registry)
+    producer.register_monitoring_query(*queries[0])
+    consumer = ComplexEventProcessor(abc_registry)
+    consumer.register_monitoring_query(*queries[1])
+    expected = []
+    for event in events:
+        published = producer.feed(event)
+        expected.extend(published)
+        for _, composite in published:
+            expected.extend(consumer.feed(composite.to_event(), "pairs"))
+    expected.extend(producer.flush())
+    expected.extend(consumer.flush())
+    assert together == _key(expected)
+    assert any(name == "consumer" for name, *_ in together)
 
 
-@pytest.mark.parametrize("use_dispatch_index", [True, False])
-def test_sharded_run_matches_synchronous(abc_registry, use_dispatch_index):
-    """The flag flows through WorkerSpec into every shard's processor."""
+def test_sharded_run_matches_synchronous(abc_registry):
     events = _stream(9, 150)
     sharded = ShardingConfig(shards=3, backend="inline", batch_size=4)
-    with_shards, processor = _run(
-        abc_registry, events, use_dispatch_index=use_dispatch_index,
-        sharding=sharded)
-    synchronous, _ = _run(abc_registry, events,
-                          use_dispatch_index=use_dispatch_index)
+    with_shards, _ = _run(abc_registry, events, sharding=sharded)
+    synchronous, _ = _run(abc_registry, events)
     assert with_shards == synchronous
-    assert processor.use_dispatch_index is use_dispatch_index
+    assert synchronous == _run_solo(abc_registry, events)
