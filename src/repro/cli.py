@@ -29,7 +29,7 @@ from typing import Any, Iterable, Sequence, TextIO
 from repro.core.engine import Engine
 from repro.core.plan import PlanConfig
 from repro.errors import SaseError
-from repro.events.event import Event
+from repro.events.event import event_from_record
 from repro.events.model import AttributeType, SchemaRegistry
 from repro.rfid import NoiseModel
 from repro.schemas import retail_registry
@@ -759,7 +759,7 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> None:
     skipped = 0
     for record in records:
         try:
-            events.append(_to_event(record, registry))
+            events.append(event_from_record(record, registry))
         except SaseError:
             skipped += 1  # e.g. a CSV row with an empty attribute cell
     events.sort(key=lambda event: event.timestamp)
@@ -1092,14 +1092,6 @@ def _infer_registry(records: list[dict[str, Any]]) -> SchemaRegistry:
     for type_name, attributes in inferred.items():
         registry.declare(type_name, **attributes)
     return registry
-
-
-def _to_event(record: dict[str, Any],
-              registry: SchemaRegistry) -> Event:
-    schema = registry.get(record["type"])
-    payload = schema.validate_payload(record.get("attributes", {}),
-                                      coerce=True)
-    return Event(record["type"], float(record["timestamp"]), payload)
 
 
 if __name__ == "__main__":

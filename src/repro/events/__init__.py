@@ -8,7 +8,7 @@ timestamped occurrence; and :class:`~repro.events.stream.EventStream` wraps an
 iterable of events with ordering validation and arrival sequencing.
 """
 
-from repro.events.event import CompositeEvent, Event
+from repro.events.event import CompositeEvent, Event, event_from_record
 from repro.events.model import (
     AttributeSpec,
     AttributeType,
@@ -25,5 +25,6 @@ __all__ = [
     "EventSchema",
     "EventStream",
     "SchemaRegistry",
+    "event_from_record",
     "merge_streams",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.errors import SchemaError
-from repro.events.model import EventSchema
+from repro.events.model import EventSchema, SchemaRegistry
 
 
 class Event:
@@ -174,3 +174,17 @@ class CompositeEvent:
                 and self.bindings == other.bindings
                 and self.start == other.start
                 and self.end == other.end)
+
+
+def event_from_record(record: Mapping[str, Any],
+                      registry: SchemaRegistry) -> Event:
+    """The :class:`Event` a JSON record describes (``type``,
+    ``timestamp``, optional ``attributes``), its payload validated and
+    coerced against the type's schema in *registry*.  Shared by ``repro
+    run`` and the query service."""
+    if not isinstance(record, Mapping) or "type" not in record \
+            or "timestamp" not in record:
+        raise SchemaError("an event needs 'type' and 'timestamp'")
+    payload = registry.get(record["type"]).validate_payload(
+        record.get("attributes", {}), coerce=True)
+    return Event(record["type"], float(record["timestamp"]), payload)

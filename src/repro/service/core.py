@@ -10,9 +10,10 @@ cannot collide and per-query metrics stay attributable.
 
 Results are buffered per tenant in a bounded pending queue (drop-oldest
 shedding, counted) and handed out by :meth:`drain` — the transport
-(``repro.service.server``) pumps them to subscribers.  Tenant-pushed
-events are rate-limited by a token bucket; server-side feeds (the house
-stream) are not.
+(``repro.service.server``) pumps them to subscribers, visiting only the
+tenants in :attr:`QueryService.dirty` (those with undelivered results).
+Tenant-pushed events are rate-limited by a token bucket; server-side
+feeds (the house stream) are not.
 
 The registered query set is durable: every mutation rewrites a small
 JSON manifest atomically (same temp-file-then-rename discipline as the
@@ -35,7 +36,7 @@ from typing import Any, Callable, Iterable
 from repro.core.plan import PlanConfig
 from repro.core.shared import SharedPlanConfig
 from repro.errors import SaseError, ServiceError
-from repro.events.event import CompositeEvent, Event
+from repro.events.event import CompositeEvent, Event, event_from_record
 from repro.events.model import SchemaRegistry
 from repro.service.quotas import AdmissionPolicy, TenantQuota, TokenBucket
 from repro.system.processor import ComplexEventProcessor
@@ -131,6 +132,9 @@ class QueryService:
             registry, functions=functions, system=system,
             config=plan_config, shared_plans=shared_plans)
         self._tenants: dict[str, TenantState] = {}
+        # Tenants with undelivered results, in the order they got them
+        # (a dict as an insertion-ordered set).
+        self.dirty: dict[str, None] = {}
         # FIFO of (tenant, query name, query text) waiting for service
         # capacity; admitted in order as withdrawals free slots.
         self._admission_queue: deque[tuple[str, str, str]] = deque()
@@ -181,6 +185,7 @@ class QueryService:
         self._admission_queue = deque(
             item for item in self._admission_queue if item[0] != name)
         del self._tenants[name]
+        self.dirty.pop(name, None)
         self._save_manifest()
         return withdrawn
 
@@ -235,14 +240,17 @@ class QueryService:
             self.processor.register(
                 f"{tenant}/{name}", query,
                 on_result=lambda _qualified, result, _t=tenant, _n=name:
-                    self._tenants[_t].push_result(
-                        result_to_wire(_t, _n, result)))
+                    self._push(_t, result_to_wire(_t, _n, result)))
         except ServiceError:
             raise
         except SaseError:
             state.rejected_total += 1
             raise
         state.queries[name] = query
+
+    def _push(self, tenant: str, result: dict) -> None:
+        self._tenants[tenant].push_result(result)
+        self.dirty[tenant] = None
 
     def withdraw(self, tenant: str, name: str) -> None:
         """Withdraw one query, releasing every resource it held, then
@@ -285,22 +293,43 @@ class QueryService:
             -> int:
         """Feed one tenant-pushed event (wire form: ``type``,
         ``timestamp``, ``attributes``), charged against the tenant's
-        rate limit."""
-        state = self.tenant(tenant)
-        if not state.bucket.try_acquire(self._clock()):
-            state.events_throttled += 1
-            raise ServiceError(
-                f"tenant {tenant!r} exceeded its event rate "
-                f"({state.quota.max_events_per_second}/s)")
-        if not isinstance(record, dict) or "type" not in record \
-                or "timestamp" not in record:
-            raise ServiceError("an event needs 'type' and 'timestamp'")
-        schema = self.processor.registry.get(record["type"])
-        payload = schema.validate_payload(
-            record.get("attributes", {}), coerce=True)
-        state.events_submitted += 1
-        event = Event(record["type"], float(record["timestamp"]), payload)
-        return self.feed(event, stream)
+        rate limit: :meth:`feed_records` on a run of one."""
+        outcome, = self.feed_records([(tenant, record)], stream)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def feed_records(self, records: list[tuple[str, dict]],
+                     stream: str = ComplexEventProcessor.DEFAULT_STREAM) \
+            -> list[int | Exception]:
+        """Feed a run of tenant-pushed ``(tenant, record)`` events as one
+        chunk.  Each record is rate-limited and validated in order; the
+        valid events then go through the processor together, giving
+        every tenant exactly what one :meth:`feed_record` per record
+        gives.  Returns, per record, how many results its event produced
+        or the exception that refused it.  An exception raised while the
+        chunk runs propagates: the run fails as a unit and none of its
+        results are delivered."""
+        outcomes: list[int | Exception | None] = []
+        events: list[Event] = []
+        for tenant, record in records:
+            try:
+                state = self.tenant(tenant)
+                if not state.bucket.try_acquire(self._clock()):
+                    state.events_throttled += 1
+                    raise ServiceError(
+                        f"tenant {tenant!r} exceeded its event rate "
+                        f"({state.quota.max_events_per_second}/s)")
+                events.append(
+                    event_from_record(record, self.processor.registry))
+                state.events_submitted += 1
+                outcomes.append(None)
+            except Exception as exc:   # noqa: BLE001 - answered per record
+                outcomes.append(exc)
+        self.events_fed += len(events)
+        counts = map(len, self.processor.feed_batch_grouped(events, stream))
+        return [next(counts) if outcome is None else outcome
+                for outcome in outcomes]
 
     def flush(self) -> int:
         """End of stream: release pending trailing-negation matches into
@@ -315,6 +344,8 @@ class QueryService:
             else min(limit, len(state.pending))
         drained = [state.pending.popleft() for _ in range(count)]
         state.delivered_total += len(drained)
+        if not state.pending:
+            self.dirty.pop(tenant, None)
         return drained
 
     # -- introspection --------------------------------------------------------

@@ -6,24 +6,45 @@ One :class:`QueryServer` wraps one :class:`~repro.service.core
 order per connection, and the service core itself is only ever touched
 from the event loop's single thread, so no locking is needed.
 
-Subscriptions: a connection that sends ``subscribe`` for a tenant
-receives that tenant's results as push lines.  After every operation
-that can produce results (``feed``, ``flush``) the server drains each
-subscribed tenant's pending queue once and fans the lines out to all of
-that tenant's subscribers.  Results produced while a tenant has no
-subscriber stay in the bounded pending queue (shedding oldest beyond
-the tenant's quota) until someone subscribes or drains explicitly.
+Bursts: each read takes whatever the client has pipelined (up to
+64 KiB) and serves its complete lines as one burst.  Consecutive
+``feed`` lines on one stream form a run, fed to the processor as one
+chunk (:meth:`QueryService.feed_records`); any other op ends the run
+first, so it sees every feed before it.  The burst's acks are written
+in request order, then the pump runs once.
+
+Subscriptions and the dirty-tenant pump: a connection that sends
+``subscribe`` for a tenant receives that tenant's results as push
+lines.  The service keeps the tenants holding undelivered results in
+:attr:`QueryService.dirty`; after each burst the pump walks only that
+set, drains each tenant that has a live subscriber, writes every result
+line once to each of its subscribers, and then awaits ``drain()`` once
+per subscriber connection.  A burst that produced nothing pumps
+nothing.  Results produced while a tenant has no subscriber stay in the
+bounded pending queue (shedding oldest beyond the tenant's quota), and
+the tenant stays dirty, until someone subscribes or drains explicitly.
 """
 
 from __future__ import annotations
 
 import asyncio
+from itertools import groupby, takewhile
+from operator import itemgetter
 from typing import Any
 
 from repro.errors import SaseError, ServiceError
 from repro.service import protocol
 from repro.service.core import QueryService
 from repro.service.quotas import TenantQuota
+
+# One read's worth of pipelined requests, and the longest request line
+# (asyncio's default stream limit); a longer line closes the connection.
+READ_SIZE = LINE_LIMIT = 64 * 1024
+
+
+def _failure(request_id: Any, exc: Exception) -> dict:
+    return protocol.error(request_id, str(exc) if isinstance(exc, SaseError)
+                          else f"internal error: {type(exc).__name__}: {exc}")
 
 
 class QueryServer:
@@ -73,28 +94,30 @@ class QueryServer:
                                  writer: asyncio.StreamWriter) -> None:
         self.connections_served += 1
         self._connections.add(writer)
+        tail = b""
         try:
-            while not reader.at_eof():
+            while not self._shutdown.is_set():
                 try:
-                    line = await reader.readline()
-                except (ConnectionResetError, asyncio.LimitOverrunError):
+                    data = await reader.read(READ_SIZE)
+                except ConnectionResetError:
                     break
-                if not line.strip():
-                    if not line:
-                        break
-                    continue
-                response = self._dispatch(line, writer)
-                writer.write(protocol.encode(response))
+                # At EOF an unterminated last line is still a request.
+                lines = (tail + data).split(b"\n")
+                tail = lines.pop() if data else b""
+                fitting = list(takewhile(
+                    lambda line: len(line) <= LINE_LIMIT, lines))
+                closing = not data or len(fitting) < len(lines) \
+                    or len(tail) > LINE_LIMIT
+                writer.write(self._serve(fitting, writer))
                 await self._pump()
                 try:
                     await writer.drain()
                 except ConnectionResetError:
                     break
-                if self._shutdown.is_set():
+                if closing:
                     break
         finally:
-            for subscribers in self._subscribers.values():
-                subscribers.discard(writer)
+            self._forget(writer)
             self._connections.discard(writer)
             writer.close()
             try:
@@ -102,19 +125,57 @@ class QueryServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    def _dispatch(self, line: bytes,
-                  writer: asyncio.StreamWriter) -> dict:
-        request_id: Any = None
+    def _forget(self, writer: asyncio.StreamWriter) -> None:
+        for subscribers in self._subscribers.values():
+            subscribers.discard(writer)
+
+    def _serve(self, lines: list[bytes],
+               writer: asyncio.StreamWriter) -> bytes:
+        """Answer one burst of request lines; returns its acks, in
+        request order.  Consecutive feeds on one stream form a run, fed
+        as one chunk; any other line ends the run first."""
+        acks: list[dict] = []
+        parsed = map(self._parse, filter(bytes.strip, lines))
+        for stream, group in groupby(parsed, key=itemgetter(2)):
+            if stream is not None:
+                acks += self._feed_run(list(group), stream)
+                continue
+            for request_id, request, _ in group:
+                try:
+                    if isinstance(request, Exception):
+                        raise request
+                    acks.append(self._execute(request, writer))
+                except Exception as exc:   # noqa: BLE001 - stay connected
+                    acks.append(_failure(request_id, exc))
+        return b"".join(map(protocol.encode, acks))
+
+    def _parse(self, line: bytes) -> tuple[Any, Any, str | None]:
+        """``(id, request or the error refusing the line, stream)``;
+        the stream is None unless the request is a feed."""
+        request_id = None
         try:
             message = protocol.parse_line(line)
             request_id = message.get("id")
             request = protocol.validate_request(message)
-            return self._execute(request, writer)
-        except SaseError as exc:
-            return protocol.error(request_id, str(exc))
-        except Exception as exc:   # noqa: BLE001 - keep the connection up
-            return protocol.error(
-                request_id, f"internal error: {type(exc).__name__}: {exc}")
+        except Exception as exc:   # noqa: BLE001 - answered in its slot
+            return request_id, exc, None
+        stream = request.get("stream", self.service.processor.DEFAULT_STREAM)
+        return request_id, request, \
+            stream if request["op"] == "feed" else None
+
+    def _feed_run(self, run: list[tuple], stream: str) -> list[dict]:
+        """The acks of a run of feeds, fed as one chunk; a chunk that
+        raises answers every feed of the run with the error."""
+        try:
+            outcomes = self.service.feed_records(
+                [(request["tenant"], request["event"])
+                 for _, request, _ in run], stream)
+        except Exception as exc:   # noqa: BLE001 - the run fails as a unit
+            outcomes = [exc] * len(run)
+        return [_failure(request_id, outcome)
+                if isinstance(outcome, Exception)
+                else protocol.ok(request_id, results=outcome)
+                for (request_id, _, _), outcome in zip(run, outcomes)]
 
     def _execute(self, request: dict,
                  writer: asyncio.StreamWriter) -> dict:
@@ -141,12 +202,6 @@ class QueryServer:
         if op == "unsubscribe":
             self._subscribers.get(tenant, set()).discard(writer)
             return protocol.ok(request_id)
-        if op == "feed":
-            produced = service.feed_record(
-                tenant, request["event"],
-                stream=request.get("stream",
-                                   service.processor.DEFAULT_STREAM))
-            return protocol.ok(request_id, results=produced)
         if op == "drain":
             results = service.drain(tenant,
                                     int(request.get("limit", 0)))
@@ -162,21 +217,25 @@ class QueryServer:
         raise ServiceError(f"op {op!r} is not implemented")
 
     async def _pump(self) -> None:
-        """Drain every subscribed tenant once; fan results out to all of
-        its subscribers."""
-        for tenant, subscribers in self._subscribers.items():
-            live = [sub for sub in subscribers if not sub.is_closing()]
+        """Drain each dirty tenant that has a live subscriber and write
+        its result lines to every such subscriber; then wait for each
+        written-to connection once."""
+        written: dict[asyncio.StreamWriter, None] = {}
+        for tenant in list(self.service.dirty):
+            live = [writer for writer in self._subscribers.get(tenant, ())
+                    if not writer.is_closing()]
             if not live:
                 continue
-            for result in self.service.drain(tenant):
-                line = protocol.encode(protocol.push_result(result))
-                for subscriber in live:
-                    subscriber.write(line)
+            block = b"".join(protocol.encode(protocol.push_result(result))
+                             for result in self.service.drain(tenant))
             for subscriber in live:
-                try:
-                    await subscriber.drain()
-                except (ConnectionResetError, BrokenPipeError):
-                    subscribers.discard(subscriber)
+                subscriber.write(block)
+                written[subscriber] = None
+        for subscriber in written:
+            try:
+                await subscriber.drain()
+            except (ConnectionResetError, BrokenPipeError):
+                self._forget(subscriber)
 
 
 def serve(service: QueryService, host: str = "127.0.0.1",

@@ -777,8 +777,11 @@ class RemoteBackend(_BoundedChannelBackend):
                     (host, port), timeout=_CONNECT_TIMEOUT)
             except OSError:
                 # Transient: nothing listening (yet).  Spawn the
-                # daemon if this endpoint is ours to supervise.
-                if local and not self._process_alive(shard):
+                # daemon if this endpoint is ours to supervise: one
+                # that answered the first connect is external for the
+                # life of the backend.
+                if local and not self._process_alive(shard) and (
+                        self._owned[shard] or not self._connected_once[shard]):
                     self._spawn_local_worker(shard)
                 raise
             conn = RemoteConnection(sock)

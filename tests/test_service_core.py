@@ -137,6 +137,40 @@ class TestQuotas:
         assert TenantQuota.from_dict(quota.to_dict()) == quota
 
 
+class TestFeedRecords:
+    def test_run_equals_one_record_at_a_time(self, abc_registry):
+        records = [
+            ("alice", {"type": "A", "timestamp": 1.0,
+                       "attributes": {"id": 1, "v": 1}}),
+            ("ghost", {"type": "A", "timestamp": 2.0,
+                       "attributes": {"id": 2, "v": 2}}),
+            ("alice", {"type": "B", "timestamp": 3.0,
+                       "attributes": {"id": 1, "v": 3}}),
+            ("alice", {"type": "A"}),
+        ]
+        services = []
+        for _ in range(2):
+            service = QueryService(abc_registry)
+            service.register("alice", "pairs", PAIR)
+            service.register("bob", "all_a", SINGLE)
+            services.append(service)
+        chunked, single = services
+        outcomes = chunked.feed_records(records)
+        assert outcomes[0] == 1 and outcomes[2] == 1
+        assert "unknown tenant" in str(outcomes[1])
+        assert "'type' and 'timestamp'" in str(outcomes[3])
+        for (tenant, record), outcome in zip(records, outcomes):
+            if isinstance(outcome, Exception):
+                with pytest.raises(type(outcome)):
+                    single.feed_record(tenant, record)
+            else:
+                assert single.feed_record(tenant, record) == outcome
+        assert list(chunked.dirty) == ["bob", "alice"]
+        for tenant in ("alice", "bob"):
+            assert chunked.drain(tenant) == single.drain(tenant)
+        assert chunked.dirty == {}
+
+
 class TestAdmission:
     def test_service_capacity_queues_then_admits(self, abc_registry):
         service = QueryService(
